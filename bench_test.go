@@ -427,7 +427,7 @@ func BenchmarkHyFDSubstrate(b *testing.B) {
 // BenchmarkNormalizeWorkers measures the full pipeline — discovery,
 // closure, key derivation, decomposition, key selection — under
 // explicit worker counts, exercising the substrate cache and the
-// concurrent worklist pre-analysis end to end.
+// parallel validation and closure stages end to end.
 func BenchmarkNormalizeWorkers(b *testing.B) {
 	ds := mustDS(b)(datagen.TPCH(0.0002, 1))
 	for _, workers := range []int{1, 2, 4, 8} {

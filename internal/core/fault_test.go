@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -202,5 +203,84 @@ func TestSeededPanicSweep(t *testing.T) {
 			t.Errorf("seed %d (%+v): not lossless: %v", seed, rules[0], lerr)
 		}
 		check()
+	}
+}
+
+// TestExhaustivePanicSeamSweep injects a panic at every observer callback a
+// run makes, one occurrence at a time, at several worker counts. A
+// recording run first counts the callbacks per (stage, hook); the sweep
+// then arms the Nth occurrence of each. Whichever callback panics — a
+// stage start, a counter, a finish, or the end-of-run counter flush —
+// the panic must stay inside the pipeline and surface as a
+// stage-attributed *StageError in a *PartialError, next to a lossless
+// result, without leaking goroutines.
+func TestExhaustivePanicSeamSweep(t *testing.T) {
+	type seam struct {
+		stage observe.Stage
+		hook  faultinject.Hook
+	}
+	hookOf := map[observe.EventKind]faultinject.Hook{
+		observe.KindStart:   faultinject.Start,
+		observe.KindCounter: faultinject.Counter,
+		observe.KindFinish:  faultinject.Finish,
+	}
+	rel := correlated(rand.New(rand.NewSource(9)), 50)
+	for _, workers := range []int{1, 2, 4} {
+		rec := &observe.Recorder{}
+		if _, err := NormalizeRelationContext(context.Background(), rel,
+			Options{Workers: workers, Observer: rec}); err != nil {
+			t.Fatalf("workers=%d: recording run: %v", workers, err)
+		}
+		calls := map[seam]int{}
+		for _, e := range rec.Events() {
+			calls[seam{e.Stage, hookOf[e.Kind]}]++
+		}
+		for _, stage := range observe.Stages() {
+			for _, hook := range []faultinject.Hook{faultinject.Start, faultinject.Counter, faultinject.Finish} {
+				for nth := 1; nth <= calls[seam{stage, hook}]; nth++ {
+					name := fmt.Sprintf("workers-%d/%s/%s/%d", workers, stage, hook, nth)
+					t.Run(name, func(t *testing.T) {
+						defer goroutineCheck(t)()
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("panic escaped the pipeline: %v", r)
+							}
+						}()
+						inj := faultinject.New(faultinject.Rule{
+							Stage: stage, Hook: hook, Nth: nth, Kind: faultinject.Panic,
+						})
+						res, err := NormalizeRelationContext(context.Background(), rel,
+							Options{Workers: workers, Observer: inj})
+						if res == nil || len(res.Tables) == 0 {
+							t.Fatalf("no result (err = %v)", err)
+						}
+						if lerr := checkLossless(rel, res.Tables); lerr != nil {
+							t.Errorf("not lossless: %v", lerr)
+						}
+						if len(inj.Fired()) == 0 {
+							if workers == 1 {
+								t.Fatal("fault never fired in a serial run")
+							}
+							return // parallel callback counts may vary run to run
+						}
+						var pe *PartialError
+						if !errors.As(err, &pe) {
+							t.Fatalf("err = %v (%T), want *PartialError", err, err)
+						}
+						var se *StageError
+						if !errors.As(err, &se) || se.Stage != stage {
+							t.Errorf("err = %v, want a *StageError at %s", err, stage)
+						}
+						var ge *guard.PanicError
+						if !errors.As(err, &ge) {
+							t.Fatalf("err = %v, want a wrapped *guard.PanicError", err)
+						}
+						if _, ok := ge.Recovered.(faultinject.PanicValue); !ok {
+							t.Errorf("recovered value = %#v, want the injected faultinject.PanicValue", ge.Recovered)
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"normalize/internal/bitset"
@@ -19,7 +18,6 @@ import (
 	"normalize/internal/relation"
 	"normalize/internal/scoring"
 	"normalize/internal/violation"
-	"normalize/internal/wsteal"
 )
 
 // ClosureAlgorithm selects the closure variant (Section 4); the
@@ -46,12 +44,12 @@ type Options struct {
 	// MaxLhs prunes discovered FDs to left-hand sides of at most this
 	// size (0 = unbounded); Section 4.3's memory safeguard.
 	MaxLhs int
-	// Workers bounds the run's parallelism: closure computation, the
-	// candidate-validation worker pools of FD discovery, and the
-	// concurrent pre-analysis (key derivation plus violation detection)
-	// of independent worklist tables. 0 means GOMAXPROCS; 1 forces a
-	// fully serial run. Results are identical for every worker count —
-	// parallel stages merge their verdicts deterministically.
+	// Workers bounds the run's parallelism: closure computation and the
+	// candidate-validation worker pools of FD discovery. 0 means
+	// GOMAXPROCS; 1 forces a fully serial run. An explicit count is
+	// honoured as given, even above the host's CPU count. Results are
+	// identical for every worker count — parallel stages merge their
+	// verdicts deterministically.
 	Workers int
 	// Closure selects the closure algorithm (optimized by default).
 	Closure ClosureAlgorithm
@@ -186,16 +184,13 @@ func NormalizeRelationContext(ctx context.Context, rel *relation.Relation, opts 
 		decider = AutoDecider{}
 	}
 	p := &run{
-		opts:     opts,
-		obs:      observe.Or(opts.Observer),
-		decider:  decider,
-		tr:       opts.Budget.tracker(),
-		res:      &Result{},
-		cache:    plicache.NewCache(),
-		workers:  effectiveWorkers(opts.Workers),
-		analyses: make(map[*Table]*analysis),
+		opts:    opts,
+		obs:     observe.Or(opts.Observer),
+		decider: decider,
+		tr:      opts.Budget.tracker(),
+		res:     &Result{},
+		cache:   plicache.NewCache(),
 	}
-	p.sem = make(chan struct{}, p.workers)
 	p.res.Stats.Attrs = rel.NumAttrs()
 	p.res.Stats.Records = rel.NumRows()
 
@@ -243,13 +238,6 @@ type run struct {
 	// st is the compressed PLI store backing the cache's substrates when
 	// the run has a memory ceiling; nil otherwise.
 	st *plistore.Store
-	// workers is the resolved parallelism (Options.Workers or GOMAXPROCS).
-	workers int
-	// analyses holds the asynchronously precomputed key-derivation and
-	// violation-detection results of enqueued worklist tables; sem
-	// bounds their concurrency to workers.
-	analyses map[*Table]*analysis
-	sem      chan struct{}
 	// scores memoizes the exact per-attribute-set facts behind candidate
 	// scoring, bound to the root instance after buildRoot.
 	scores *scoreIndex
@@ -257,72 +245,6 @@ type run struct {
 	// firstStageErr remembers the first tolerated stage crash so a run
 	// that continued past per-table panics still reports them.
 	firstStageErr *StageError
-}
-
-// effectiveWorkers resolves Options.Workers: 0 means GOMAXPROCS, and
-// the result is clamped to the host's CPU count — oversubscribed pools
-// cannot add throughput to these CPU-bound stages.
-func effectiveWorkers(w int) int {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return wsteal.ClampWorkers(w)
-}
-
-// analysis is the asynchronously precomputed per-table work of the
-// decomposition loop: key derivation and violation detection depend
-// only on the table's own FDs and constraints, so independent worklist
-// tables can be analyzed concurrently while the coordinator decomposes
-// another. Results are folded back in pop order, and all observer
-// traffic stays on the coordinating goroutine, so instrumentation and
-// outcomes are identical to the serial loop.
-type analysis struct {
-	done    chan struct{}
-	keys    []*bitset.Set
-	keysDur time.Duration
-	keysErr error // stage-attributed panic from key derivation
-	viol    []*fd.FD
-	violDur time.Duration
-	violErr error // stage-attributed panic from violation detection
-}
-
-// analyze schedules the pre-analysis of an enqueued worklist table on
-// the bounded pool. Serial runs (workers == 1) skip it entirely; the
-// loop then computes both stages inline exactly as before.
-func (p *run) analyze(t *Table) {
-	if p.workers <= 1 {
-		return
-	}
-	a := &analysis{done: make(chan struct{})}
-	p.analyses[t] = a
-	go func() {
-		defer close(a.done)
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		start := time.Now()
-		a.keysErr = runStage(observe.KeyDerivation, func() error {
-			a.keys = keys.Derive(t.FDs, t.Attrs)
-			return nil
-		})
-		a.keysDur = time.Since(start)
-		if a.keysErr != nil {
-			return
-		}
-		start = time.Now()
-		a.violErr = runStage(observe.Violation, func() error {
-			a.viol = violation.Detect(violation.Input{
-				FDs:         t.FDs,
-				Keys:        a.keys,
-				RelAttrs:    t.Attrs,
-				NullAttrs:   t.NullAttrs,
-				PrimaryKey:  t.PrimaryKey,
-				ForeignKeys: foreignKeySets(t),
-				Mode:        p.opts.Mode,
-			})
-			return nil
-		})
-		a.violDur = time.Since(start)
-	}()
 }
 
 func (p *run) degrade(stage observe.Stage, resource, action, detail string) {
@@ -398,49 +320,20 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 		t := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
 
-		// Collect the table's precomputed analysis, if one was scheduled.
-		a := p.analyses[t]
-		if a != nil {
-			delete(p.analyses, t)
-			select {
-			case <-a.done:
-			case <-done:
-				return p.partial(observe.KeyDerivation, ctx.Err(), append([]*Table{t}, worklist...)...)
-			}
-		}
-
 		var start time.Time
-		var kerr error
-		if a != nil {
-			// Replay the precomputed result with the serial loop's exact
-			// observer protocol: a crashed stage leaves its span open
-			// (interrupted), a finished one reports the measured duration.
+		kerr := runStage(observe.KeyDerivation, func() error {
 			obs.StageStart(observe.KeyDerivation)
-			if kerr = a.keysErr; kerr == nil {
-				t.Keys = a.keys
-				if firstKey {
-					res.Stats.KeyDerivation = a.keysDur
-					res.Stats.NumFDKeys = len(t.Keys)
-					firstKey = false
-				}
-				obs.Counter(observe.KeyDerivation, observe.CounterKeysDerived, int64(len(t.Keys)))
-				obs.StageFinish(observe.KeyDerivation, a.keysDur)
+			start = time.Now()
+			t.Keys = keys.Derive(t.FDs, t.Attrs)
+			if firstKey {
+				res.Stats.KeyDerivation = time.Since(start)
+				res.Stats.NumFDKeys = len(t.Keys)
+				firstKey = false
 			}
-		} else {
-			kerr = runStage(observe.KeyDerivation, func() error {
-				obs.StageStart(observe.KeyDerivation)
-				start = time.Now()
-				t.Keys = keys.Derive(t.FDs, t.Attrs)
-				if firstKey {
-					res.Stats.KeyDerivation = time.Since(start)
-					res.Stats.NumFDKeys = len(t.Keys)
-					firstKey = false
-				}
-				obs.Counter(observe.KeyDerivation, observe.CounterKeysDerived, int64(len(t.Keys)))
-				obs.StageFinish(observe.KeyDerivation, time.Since(start))
-				return nil
-			})
-		}
+			obs.Counter(observe.KeyDerivation, observe.CounterKeysDerived, int64(len(t.Keys)))
+			obs.StageFinish(observe.KeyDerivation, time.Since(start))
+			return nil
+		})
 		if p.acceptOnCrash(kerr, t) {
 			continue
 		} else if kerr != nil {
@@ -448,40 +341,26 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 		}
 
 		var viol []*fd.FD
-		var verr error
-		if a != nil {
+		verr := runStage(observe.Violation, func() error {
 			obs.StageStart(observe.Violation)
-			if verr = a.violErr; verr == nil {
-				viol = a.viol
-				if firstViolation {
-					res.Stats.Violation = a.violDur
-					firstViolation = false
-				}
-				obs.Counter(observe.Violation, observe.CounterViolationsFound, int64(len(viol)))
-				obs.StageFinish(observe.Violation, a.violDur)
-			}
-		} else {
-			verr = runStage(observe.Violation, func() error {
-				obs.StageStart(observe.Violation)
-				start = time.Now()
-				viol = violation.Detect(violation.Input{
-					FDs:         t.FDs,
-					Keys:        t.Keys,
-					RelAttrs:    t.Attrs,
-					NullAttrs:   t.NullAttrs,
-					PrimaryKey:  t.PrimaryKey,
-					ForeignKeys: foreignKeySets(t),
-					Mode:        p.opts.Mode,
-				})
-				if firstViolation {
-					res.Stats.Violation = time.Since(start)
-					firstViolation = false
-				}
-				obs.Counter(observe.Violation, observe.CounterViolationsFound, int64(len(viol)))
-				obs.StageFinish(observe.Violation, time.Since(start))
-				return nil
+			start = time.Now()
+			viol = violation.Detect(violation.Input{
+				FDs:         t.FDs,
+				Keys:        t.Keys,
+				RelAttrs:    t.Attrs,
+				NullAttrs:   t.NullAttrs,
+				PrimaryKey:  t.PrimaryKey,
+				ForeignKeys: foreignKeySets(t),
+				Mode:        p.opts.Mode,
 			})
-		}
+			if firstViolation {
+				res.Stats.Violation = time.Since(start)
+				firstViolation = false
+			}
+			obs.Counter(observe.Violation, observe.CounterViolationsFound, int64(len(viol)))
+			obs.StageFinish(observe.Violation, time.Since(start))
+			return nil
+		})
 		if p.acceptOnCrash(verr, t) {
 			continue
 		} else if verr != nil {
@@ -540,8 +419,6 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 			obs.Counter(observe.Decomposition, observe.CounterRowsMaterialized, rows)
 			obs.StageFinish(observe.Decomposition, time.Since(start))
 			worklist = append(worklist, r1, r2)
-			p.analyze(r1)
-			p.analyze(r2)
 			// The two projections retain new materialized instances
 			// (approximated as a string header per cell), while the
 			// parent's — unless it is the input root, which was never
@@ -606,7 +483,12 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 		}
 	}
 
-	p.flushCacheStats()
+	// The flush reports to the user's observer, so it runs guarded like
+	// every stage: a panicking observer costs the counters, not the run.
+	if ferr := runStage(observe.Discovery, p.flushCacheStats); ferr != nil {
+		p.degrade(observe.Discovery, "panic", "substrate counters dropped", ferr.Error())
+		p.noteStageErr(ferr)
+	}
 	res.ScoreMemo = p.scores.memo()
 	if p.firstStageErr != nil {
 		return res, &PartialError{Stage: p.firstStageErr.Stage, Cause: p.firstStageErr}
@@ -616,8 +498,9 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 
 // flushCacheStats reports the substrate cache's work — full encodes,
 // code-level derivations, cache hits — under the discovery stage (the
-// stage that builds the first substrate).
-func (p *run) flushCacheStats() {
+// stage that builds the first substrate). It always returns nil; the
+// error result fits it to runStage.
+func (p *run) flushCacheStats() error {
 	builds, derives, hits := p.cache.Stats()
 	if builds != 0 {
 		p.obs.Counter(observe.Discovery, observe.CounterSubstrateBuilds, builds)
@@ -631,6 +514,7 @@ func (p *run) flushCacheStats() {
 	if p.st != nil {
 		p.st.FlushCounters(p.obs, observe.Discovery)
 	}
+	return nil
 }
 
 // deriveChildSubstrates registers the two projections' substrates,

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"normalize/internal/observe"
 	"normalize/internal/relation"
 )
 
@@ -47,7 +49,7 @@ func schemaSignature(res *Result) string {
 // contract: every worker count must produce the byte-identical
 // normalized schema — same tables in the same order, same keys, same
 // materialized rows. Run under -race this also exercises the
-// concurrent worklist pre-analysis and the validation worker pools.
+// validation worker pools and the parallel closure.
 func TestNormalizeWorkersDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	inputs := []*relation.Relation{address()}
@@ -83,4 +85,26 @@ func cloneRows(rows [][]string) [][]string {
 		out[i] = append([]string(nil), r...)
 	}
 	return out
+}
+
+// TestExplicitWorkersHonoured: an explicit Options.Workers above the
+// host's CPU count still runs that many validation workers, so the
+// worker-count suites exercise real concurrency on small hosts too.
+func TestExplicitWorkersHonoured(t *testing.T) {
+	want := runtime.NumCPU() + 2
+	rec := &observe.Recorder{}
+	rel := correlated(rand.New(rand.NewSource(4)), 60)
+	if _, err := NormalizeRelation(rel, Options{Workers: want, Observer: rec}); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range rec.Totals() {
+		if st.Stage != observe.Discovery {
+			continue
+		}
+		if got := st.Counters[observe.CounterValidationWorkers]; got != int64(want) {
+			t.Errorf("Workers: %d spawned %d validation workers", want, got)
+		}
+		return
+	}
+	t.Fatal("no discovery telemetry recorded")
 }

@@ -76,7 +76,7 @@ func revalidate(ctx context.Context, sub *plicache.Substrate, cover *fd.Set, bas
 	// Seeded revalidation rides the same work-stealing scheduler as full
 	// discovery: one persistent pool for the whole sweep, range-split
 	// levels, verdicts folded from the ordered commit.
-	if workers = wsteal.ClampWorkers(workers); workers > 1 {
+	if workers > 1 {
 		d.pool = wsteal.New(workers)
 		defer d.pool.Close()
 		d.wixs = make([]*pli.Intersector, workers)

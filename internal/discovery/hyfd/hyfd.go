@@ -53,10 +53,10 @@ import (
 // is serial.
 func (o Options) effectiveWorkers() int {
 	if o.Workers > 0 {
-		return wsteal.ClampWorkers(o.Workers)
+		return o.Workers
 	}
 	if o.Parallel {
-		return wsteal.ClampWorkers(runtime.GOMAXPROCS(0))
+		return runtime.GOMAXPROCS(0)
 	}
 	return 1
 }
@@ -69,7 +69,7 @@ type Options struct {
 	// and correct cover for all FDs within the bound.
 	MaxLhs int
 	// Parallel enables concurrent candidate validation across worker
-	// goroutines (runtime.NumCPU of them unless Workers overrides).
+	// goroutines (GOMAXPROCS of them unless Workers overrides).
 	Parallel bool
 	// Workers bounds the validation worker pool: 0 defers to Parallel
 	// (GOMAXPROCS workers when set, serial otherwise), 1 forces the

@@ -26,7 +26,6 @@ import (
 	"normalize/internal/plistore"
 	"normalize/internal/relation"
 	"normalize/internal/settrie"
-	"normalize/internal/wsteal"
 )
 
 // Options configures discovery.
@@ -54,11 +53,10 @@ type Options struct {
 	Budget *budget.Tracker
 }
 
-// effectiveWorkers resolves the hybrid validation worker count,
-// clamped to the host's CPUs.
+// effectiveWorkers resolves the hybrid validation worker count.
 func (o Options) effectiveWorkers() int {
 	if o.Workers > 1 {
-		return wsteal.ClampWorkers(o.Workers)
+		return o.Workers
 	}
 	return 1
 }

@@ -46,6 +46,7 @@ import (
 	"normalize/internal/guard"
 	"normalize/internal/jobstore"
 	"normalize/internal/replicate"
+	"normalize/internal/wsteal"
 )
 
 // Config bounds the server's resources; zero values select defaults.
@@ -508,9 +509,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve the server-wide validation-worker default before the spec
 	// (and its cache key) is built, so the persisted job and its replay
-	// carry the worker count the run actually used.
+	// carry the worker count the run actually used. A client-chosen
+	// count is capped at the host's CPUs; the default already was.
 	if req.Options.Workers == 0 {
 		req.Options.Workers = s.cfg.JobWorkers
+	} else {
+		req.Options.Workers = wsteal.ClampWorkers(req.Options.Workers)
 	}
 	spec, err := buildSpec(&req)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -635,8 +636,18 @@ func TestJobWorkersDefault(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s not found", st.ID)
 	}
-	if got := job.spec.opts.Workers; got != 2 {
-		t.Errorf("explicit job: workers = %d, want 2", got)
+	if got, want := job.spec.opts.Workers, min(2, runtime.NumCPU()); got != want {
+		t.Errorf("explicit job: workers = %d, want %d", got, want)
+	}
+
+	// Client-chosen counts are capped at the host's CPUs.
+	st = submit(t, h, csvBody(addressCSV, `"workers":4096`))
+	job, ok = s.m.Get(st.ID)
+	if !ok {
+		t.Fatalf("job %s not found", st.ID)
+	}
+	if got, want := job.spec.opts.Workers, runtime.NumCPU(); got != want {
+		t.Errorf("oversized job: workers = %d, want %d", got, want)
 	}
 
 	s2 := testServer(t, Config{Workers: 1, MetricsName: "test_TestJobWorkersDefault_zero"})

@@ -46,10 +46,12 @@ var clampOnce sync.Once
 // ClampWorkers caps a requested worker count at runtime.NumCPU(). The
 // validation pools are CPU-bound, so workers beyond the physical cores
 // cannot add throughput and measurably cost it on small hosts (cache
-// pressure plus steal contention); every Options.Workers resolution
-// funnels through this clamp. Results are unaffected — verdicts commit
-// in index order at any worker count. New deliberately does not clamp:
-// the pool itself is policy-free and tests exercise oversubscription.
+// pressure plus steal contention). It applies only to counts that
+// arrive from outside the program — the server's -job-workers flag and
+// a job request's options.workers; the library honours an explicit
+// Workers as given, so tests can run N real workers on any host.
+// Results are unaffected — verdicts commit in index order at any
+// worker count.
 func ClampWorkers(w int) int {
 	if max := runtime.NumCPU(); w > max {
 		clampOnce.Do(func() {
