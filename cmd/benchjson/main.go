@@ -5,23 +5,28 @@
 //
 //	go test -bench=. -benchmem -run '^$' ./internal/server/ | go run ./cmd/benchjson
 //
-// The output is an object with the detected goos/goarch/pkg header
-// fields and a "benchmarks" array; each entry carries the benchmark
-// name (parallelism suffix stripped into "procs"), iteration count,
-// and the standard ns/op, B/op, allocs/op, and MB/s metrics when
-// present.
+// The output is an object with the detected goos/goarch/cpu header
+// fields, the host's CPU count and GOMAXPROCS, and a "benchmarks"
+// array; each entry carries the package it ran in (go test prints one
+// "pkg:" header per package, so multi-package runs stay attributed),
+// the benchmark name (parallelism suffix stripped into "procs"),
+// iteration count, and the standard ns/op, B/op, allocs/op, and MB/s
+// metrics when present.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 type benchmark struct {
+	Pkg         string  `json:"pkg,omitempty"`
 	Name        string  `json:"name"`
 	Procs       int     `json:"procs,omitempty"`
 	Runs        int64   `json:"runs"`
@@ -36,16 +41,42 @@ type benchmark struct {
 }
 
 type report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU and GOMAXPROCS describe the host the conversion ran on —
+	// the same host as the piped benchmarks — so worker-count series
+	// can be read against the cores that were actually available.
+	NumCPU     int         `json:"num_cpu"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchmarks []benchmark `json:"benchmarks"`
 }
 
 func main() {
-	rep := report{Benchmarks: []benchmark{}}
-	sc := bufio.NewScanner(os.Stdin)
+	rep, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads `go test -bench` output and assembles the report. Each
+// benchmark is attributed to the package named by the latest "pkg:"
+// header before it.
+func parse(r io.Reader) (report, error) {
+	rep := report{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchmarks: []benchmark{},
+	}
+	var pkg string
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -55,27 +86,22 @@ func main() {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
+		return report{}, err
 	}
 	stripProcsSuffix(rep.Benchmarks)
 	deriveWorkerSpeedups(rep.Benchmarks)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
+	return rep, nil
 }
 
 // stripProcsSuffix removes the GOMAXPROCS suffix go test appends to

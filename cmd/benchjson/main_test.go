@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"runtime"
+	"strings"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	b, ok := parseBenchLine("BenchmarkBusPublish-8   \t 1971642\t   608.5 ns/op\t 392 B/op\t  5 allocs/op")
@@ -115,5 +120,68 @@ func TestDeriveWorkerSpeedups(t *testing.T) {
 	deriveWorkerSpeedups(bs)
 	if bs[0].Metrics != nil {
 		t.Errorf("baseline-less series gained metrics: %+v", bs[0])
+	}
+}
+
+func TestParseAttributesPackages(t *testing.T) {
+	// go test prints one header block per package; every benchmark
+	// belongs to the block it appears in, not to the last one.
+	out := `goos: linux
+goarch: amd64
+pkg: normalize
+cpu: Some CPU @ 2.70GHz
+BenchmarkFigure3TPCH-2   	       6	 177516944 ns/op	33754210 B/op	  728942 allocs/op
+BenchmarkHyFDWorkers/workers-1-2 	       1	 182645145 ns/op
+PASS
+ok  	normalize	12.3s
+goos: linux
+goarch: amd64
+pkg: normalize/internal/plistore
+cpu: Some CPU @ 2.70GHz
+BenchmarkPLIStoreCompress-2 	      10	   1000 ns/op
+PASS
+ok  	normalize/internal/plistore	1.2s
+`
+	rep, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ pkg, name string }{
+		{"normalize", "BenchmarkFigure3TPCH"},
+		{"normalize", "BenchmarkHyFDWorkers/workers-1"},
+		{"normalize/internal/plistore", "BenchmarkPLIStoreCompress"},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		if b := rep.Benchmarks[i]; b.Pkg != w.pkg || b.Name != w.name || b.Procs != 2 {
+			t.Errorf("benchmark %d = %s %s procs=%d, want %s %s procs=2", i, b.Pkg, b.Name, b.Procs, w.pkg, w.name)
+		}
+	}
+	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU != "Some CPU @ 2.70GHz" {
+		t.Errorf("header = %q %q %q", rep.Goos, rep.Goarch, rep.CPU)
+	}
+}
+
+func TestParseRecordsHostShape(t *testing.T) {
+	rep, err := parse(strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NumCPU != runtime.NumCPU() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("host shape = %d CPUs / GOMAXPROCS %d, want %d / %d",
+			rep.NumCPU, rep.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	// The fields are always emitted, and an empty run still yields an
+	// empty (not null) benchmark array.
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"num_cpu":`, `"gomaxprocs":`, `"benchmarks":[]`} {
+		if !strings.Contains(string(js), key) {
+			t.Errorf("JSON %s lacks %s", js, key)
+		}
 	}
 }

@@ -230,6 +230,32 @@ func (s *Set) NextAfter(e int) int {
 	return -1
 }
 
+// NextAfterIn returns the smallest element of s ∩ o strictly greater
+// than e, or -1 if no such element exists; NextAfterIn(o, -1) returns
+// the first common element. It walks the intersection one 64-bit word
+// at a time without materializing it, so iterating s ∩ o costs one
+// call per common element plus one per all-zero word, however many
+// elements s and o hold on their own. o must share s's universe.
+func (s *Set) NextAfterIn(o *Set, e int) int {
+	e++
+	if e < 0 {
+		e = 0
+	}
+	if e >= s.n {
+		return -1
+	}
+	i := e / wordBits
+	if w := (s.words[i] & o.words[i]) >> uint(e%wordBits); w != 0 {
+		return e + bits.TrailingZeros64(w)
+	}
+	for i++; i < len(s.words); i++ {
+		if w := s.words[i] & o.words[i]; w != 0 {
+			return i*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // Elements returns the elements in ascending order.
 func (s *Set) Elements() []int {
 	out := make([]int, 0, s.Cardinality())

@@ -151,6 +151,38 @@ func TestFirstNextAfterElements(t *testing.T) {
 	}
 }
 
+func TestNextAfterIn(t *testing.T) {
+	s, o := Of(200, 3, 63, 64, 65, 127, 128, 199), Of(200, 3, 5, 64, 127, 128, 198)
+	var got []int
+	for e := s.NextAfterIn(o, -1); e >= 0; e = s.NextAfterIn(o, e) {
+		got = append(got, e)
+	}
+	if !reflect.DeepEqual(got, []int{3, 64, 127, 128}) {
+		t.Errorf("walk of s ∩ o = %v", got)
+	}
+	if s.NextAfterIn(o, 128) != -1 || s.NextAfterIn(o, 199) != -1 || s.NextAfterIn(o, 500) != -1 {
+		t.Error("NextAfterIn past the last common element should be -1")
+	}
+	if New(0).NextAfterIn(New(0), -1) != -1 {
+		t.Error("NextAfterIn over an empty universe should be -1")
+	}
+
+	// Against NextAfter on the materialized intersection, across the
+	// word edges, from every start position.
+	r := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 63, 64, 65, 127, 128, 129, 130} {
+		for trial := 0; trial < 20; trial++ {
+			a, b := randomSet(r, n), randomSet(r, n)
+			both := a.Intersect(b)
+			for e := -1; e <= n; e++ {
+				if got, want := a.NextAfterIn(b, e), both.NextAfter(e); got != want {
+					t.Fatalf("n=%d: NextAfterIn(%d) = %d, want %d", n, e, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestForEachEarlyStop(t *testing.T) {
 	s := Of(10, 1, 2, 3)
 	var seen []int

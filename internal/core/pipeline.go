@@ -831,28 +831,45 @@ func foreignKeySets(t *Table) []*bitset.Set {
 // run's exact score index, which memoizes them per universal attribute
 // set (they are projection-invariant, so the root-level facts are the
 // table-level facts). Exact counts replace the paper's Bloom sketch
-// here: the index pays one PLI intersection per distinct set instead of
-// one row scan per candidate, and exactness is what lets a delta run
-// (internal/delta) reproduce the scores without touching the base rows.
+// here: the index pays, once per distinct attribute set, a chain of
+// single-column PLI intersections (skipping the steps that cannot
+// split the running partition) instead of one row scan per candidate,
+// and exactness is what lets a delta run (internal/delta) reproduce
+// the scores without touching the base rows.
 func (p *run) rankViolatingFDs(t *Table, viol []*fd.FD) []RankedFD {
 	rows, numAttrs := t.Data.NumRows(), t.Data.NumAttrs()
+	shared := sharedRhs(viol)
 	ranked := make([]RankedFD, len(viol))
 	for i, v := range viol {
-		shared := bitset.New(v.Rhs.Size())
-		for j, other := range viol {
-			if i == j {
-				continue
-			}
-			shared.UnionWithIntersection(v.Rhs, other.Rhs)
-		}
 		ranked[i] = RankedFD{
 			FD:        v,
 			Score:     scoring.FDScoreFromFacts(t.localFD(v), p.scores.facts(v.Lhs, v.Rhs, rows, numAttrs)),
-			SharedRhs: shared,
+			SharedRhs: shared[i],
 		}
 	}
 	sortRankedFDs(ranked)
 	return ranked
+}
+
+// sharedRhs returns, per FD, the RHS attributes that at least one other
+// FD's RHS also carries: viol[i].Rhs ∩ ⋃_{j≠i} viol[j].Rhs. That is
+// viol[i].Rhs intersected with the attributes occurring in two or more
+// RHSs, which one linear pass collects.
+func sharedRhs(viol []*fd.FD) []*bitset.Set {
+	out := make([]*bitset.Set, len(viol))
+	if len(viol) == 0 {
+		return out
+	}
+	n := viol[0].Rhs.Size()
+	seen, multi := bitset.New(n), bitset.New(n)
+	for _, v := range viol {
+		multi.UnionWithIntersection(seen, v.Rhs)
+		seen.UnionWith(v.Rhs)
+	}
+	for i, v := range viol {
+		out[i] = v.Rhs.Intersect(multi)
+	}
+	return out
 }
 
 // selectPrimaryKey implements component (7): discover all minimal keys

@@ -59,7 +59,10 @@ func ScoreMemoKey(attrs *bitset.Set) string {
 // bound to the root table's instance and (when available) its profiling
 // substrate: single attributes read their distinct count straight off
 // the dictionary cardinality, larger sets intersect single-column PLIs
-// most-selective-first (distinct = rows − Size + NumClusters), and max
+// most-selective-first (distinct = rows − Size + NumClusters), skipping
+// every step whose running partition already refines the next column
+// (most steps on wide relations, where a set is largely determined by
+// its most selective attribute), and max
 // value lengths come from one dictionary-backed row scan per set. A
 // seed memo (Options.ScoreSeed) pre-fills the maps so a delta run never
 // recomputes what its parent already measured.
@@ -155,9 +158,15 @@ func (ix *scoreIndex) computeDistinct(attrs *bitset.Set) int {
 		isx = pli.NewArenaIntersector()
 	}
 	defer ix.ipool.Put(isx)
+	codes := ix.sub.Encoded().Columns
 	for _, a := range elems[1:] {
 		if p.IsUnique() {
 			return rows
+		}
+		// When p already refines a's column, p ∩ PLI(a) = p: skip the
+		// intersection (and its arena generation) outright.
+		if p.Refines(codes[a]) {
+			continue
 		}
 		p = isx.IntersectInverted(p, ix.sub.Inverted(a))
 	}

@@ -43,9 +43,21 @@ func TestRunTable3RowShape(t *testing.T) {
 }
 
 func TestRunNaiveComparisonOrdering(t *testing.T) {
+	// Single-shot wall times of a few milliseconds jitter by several
+	// times on a loaded host, so time each algorithm as the minimum over
+	// repeated runs — the run least disturbed by scheduling noise.
 	row, err := RunNaiveComparison(context.Background(), tinySpec(), 1500)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for rep := 1; rep < 5; rep++ {
+		r, err := RunNaiveComparison(context.Background(), tinySpec(), 1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row.Naive = min(row.Naive, r.Naive)
+		row.Improved = min(row.Improved, r.Improved)
+		row.Optimized = min(row.Optimized, r.Optimized)
 	}
 	// The cubic baseline must not beat the optimized algorithm on a
 	// non-trivial input (the paper's headline result). Timing on tiny

@@ -17,6 +17,10 @@ type Tree struct {
 type treeNode struct {
 	rhs      *bitset.Set // FDs ending at this node
 	children []*treeNode // dense, indexed by attribute
+	// kids marks the attributes with a non-nil child, so generalization
+	// walks visit lhs ∧ kids instead of probing children per lhs bit.
+	// Nodes are never pruned, so a bit once set stays set.
+	kids *bitset.Set
 }
 
 // NewTree returns an empty FD tree over numAttrs attributes.
@@ -25,51 +29,54 @@ func NewTree(numAttrs int) *Tree {
 }
 
 func newTreeNode(numAttrs int) *treeNode {
-	return &treeNode{rhs: bitset.New(numAttrs), children: make([]*treeNode, numAttrs)}
+	return &treeNode{
+		rhs:      bitset.New(numAttrs),
+		children: make([]*treeNode, numAttrs),
+		kids:     bitset.New(numAttrs),
+	}
 }
 
 // NumAttrs returns the universe size.
 func (t *Tree) NumAttrs() int { return t.numAttrs }
 
-// Add stores the FD lhs → rhsAttr, without minimality checks.
-func (t *Tree) Add(lhs *bitset.Set, rhsAttr int) {
+// node returns the node reached by the ascending path lhs, creating
+// missing nodes on the way.
+func (t *Tree) node(lhs *bitset.Set) *treeNode {
 	n := t.root
-	lhs.ForEach(func(e int) bool {
+	for e := lhs.First(); e >= 0; e = lhs.NextAfter(e) {
 		if n.children[e] == nil {
 			n.children[e] = newTreeNode(t.numAttrs)
+			n.kids.Add(e)
 		}
 		n = n.children[e]
-		return true
-	})
-	n.rhs.Add(rhsAttr)
+	}
+	return n
+}
+
+// find returns the node reached by the ascending path lhs, or nil when
+// the path does not exist.
+func (t *Tree) find(lhs *bitset.Set) *treeNode {
+	n := t.root
+	for e := lhs.First(); e >= 0 && n != nil; e = lhs.NextAfter(e) {
+		n = n.children[e]
+	}
+	return n
+}
+
+// Add stores the FD lhs → rhsAttr, without minimality checks.
+func (t *Tree) Add(lhs *bitset.Set, rhsAttr int) {
+	t.node(lhs).rhs.Add(rhsAttr)
 }
 
 // AddSet stores lhs → a for every a in rhs.
 func (t *Tree) AddSet(lhs, rhs *bitset.Set) {
-	n := t.root
-	lhs.ForEach(func(e int) bool {
-		if n.children[e] == nil {
-			n.children[e] = newTreeNode(t.numAttrs)
-		}
-		n = n.children[e]
-		return true
-	})
-	n.rhs.UnionWith(rhs)
+	t.node(lhs).rhs.UnionWith(rhs)
 }
 
 // Contains reports whether exactly lhs → rhsAttr is stored.
 func (t *Tree) Contains(lhs *bitset.Set, rhsAttr int) bool {
-	n := t.root
-	ok := true
-	lhs.ForEach(func(e int) bool {
-		if n.children[e] == nil {
-			ok = false
-			return false
-		}
-		n = n.children[e]
-		return true
-	})
-	return ok && n.rhs.Contains(rhsAttr)
+	n := t.find(lhs)
+	return n != nil && n.rhs.Contains(rhsAttr)
 }
 
 // ContainsGeneralization reports whether some stored FD X → rhsAttr has
@@ -82,8 +89,8 @@ func containsGen(n *treeNode, lhs *bitset.Set, after, rhsAttr int) bool {
 	if n.rhs.Contains(rhsAttr) {
 		return true
 	}
-	for e := lhs.NextAfter(after); e >= 0; e = lhs.NextAfter(e) {
-		if c := n.children[e]; c != nil && containsGen(c, lhs, e, rhsAttr) {
+	for e := n.kids.NextAfterIn(lhs, after); e >= 0; e = n.kids.NextAfterIn(lhs, e) {
+		if containsGen(n.children[e], lhs, e, rhsAttr) {
 			return true
 		}
 	}
@@ -102,17 +109,17 @@ func collectGen(n *treeNode, lhs *bitset.Set, after, rhsAttr int, prefix []int, 
 	if n.rhs.Contains(rhsAttr) {
 		*out = append(*out, bitset.Of(numAttrs, prefix...))
 	}
-	for e := lhs.NextAfter(after); e >= 0; e = lhs.NextAfter(e) {
-		if c := n.children[e]; c != nil {
-			collectGen(c, lhs, e, rhsAttr, append(prefix, e), out, numAttrs)
-		}
+	for e := n.kids.NextAfterIn(lhs, after); e >= 0; e = n.kids.NextAfterIn(lhs, e) {
+		collectGen(n.children[e], lhs, e, rhsAttr, append(prefix, e), out, numAttrs)
 	}
 }
 
 // ViolatedBy returns every stored FD that a record pair with the given
 // agree set refutes: all (lhs, badRhs) with lhs ⊆ agree and
 // badRhs = rhs \ agree non-empty. One tree walk serves all RHS
-// attributes at once, which is what makes HyFD-style induction cheap.
+// attributes at once, which is what makes HyFD-style induction cheap:
+// it descends only into children on agree ∧ kids, and allocates
+// nothing at a node whose rhs ⊆ agree.
 func (t *Tree) ViolatedBy(agree *bitset.Set) []FD {
 	var out []FD
 	t.violatedBy(t.root, agree, -1, make([]int, 0, 16), &out)
@@ -120,32 +127,17 @@ func (t *Tree) ViolatedBy(agree *bitset.Set) []FD {
 }
 
 func (t *Tree) violatedBy(n *treeNode, agree *bitset.Set, after int, prefix []int, out *[]FD) {
-	if !n.rhs.IsEmpty() {
-		bad := n.rhs.Difference(agree)
-		if !bad.IsEmpty() {
-			*out = append(*out, FD{Lhs: bitset.Of(t.numAttrs, prefix...), Rhs: bad})
-		}
+	if !n.rhs.IsSubsetOf(agree) {
+		*out = append(*out, FD{Lhs: bitset.Of(t.numAttrs, prefix...), Rhs: n.rhs.Difference(agree)})
 	}
-	for e := agree.NextAfter(after); e >= 0; e = agree.NextAfter(e) {
-		if c := n.children[e]; c != nil {
-			t.violatedBy(c, agree, e, append(prefix, e), out)
-		}
+	for e := n.kids.NextAfterIn(agree, after); e >= 0; e = n.kids.NextAfterIn(agree, e) {
+		t.violatedBy(n.children[e], agree, e, append(prefix, e), out)
 	}
 }
 
 // RemoveRhs deletes lhs → a for every a in rhs with a single path walk.
 func (t *Tree) RemoveRhs(lhs *bitset.Set, rhs *bitset.Set) {
-	n := t.root
-	ok := true
-	lhs.ForEach(func(e int) bool {
-		if n.children[e] == nil {
-			ok = false
-			return false
-		}
-		n = n.children[e]
-		return true
-	})
-	if ok {
+	if n := t.find(lhs); n != nil {
 		n.rhs.DifferenceWith(rhs)
 	}
 }
@@ -153,17 +145,7 @@ func (t *Tree) RemoveRhs(lhs *bitset.Set, rhs *bitset.Set) {
 // Remove deletes the FD lhs → rhsAttr if stored. Empty nodes are not
 // physically pruned; the tree stays correct regardless.
 func (t *Tree) Remove(lhs *bitset.Set, rhsAttr int) {
-	n := t.root
-	ok := true
-	lhs.ForEach(func(e int) bool {
-		if n.children[e] == nil {
-			ok = false
-			return false
-		}
-		n = n.children[e]
-		return true
-	})
-	if ok {
+	if n := t.find(lhs); n != nil {
 		n.rhs.Remove(rhsAttr)
 	}
 }
@@ -190,21 +172,17 @@ func (t *Tree) removeSpecializations(n *treeNode, after int, lhs *bitset.Set, ne
 	if nextLhs < 0 && n.rhs.Contains(rhsAttr) {
 		n.rhs.Remove(rhsAttr)
 	}
-	for e := after + 1; e < t.numAttrs; e++ {
+	for e := n.kids.NextAfter(after); e >= 0; e = n.kids.NextAfter(e) {
 		// Paths ascend, so once e passes the next required lhs
 		// attribute, no deeper path can contain lhs anymore.
 		if nextLhs >= 0 && e > nextLhs {
 			return
 		}
-		c := n.children[e]
-		if c == nil {
-			continue
-		}
 		nl := nextLhs
 		if e == nextLhs {
 			nl = lhs.NextAfter(e)
 		}
-		t.removeSpecializations(c, e, lhs, nl, rhsAttr)
+		t.removeSpecializations(n.children[e], e, lhs, nl, rhsAttr)
 	}
 }
 
@@ -253,9 +231,7 @@ func (t *Tree) walk(n *treeNode, path []int, f func(path []int, rhs *bitset.Set)
 	if !n.rhs.IsEmpty() {
 		f(path, n.rhs)
 	}
-	for e, c := range n.children {
-		if c != nil {
-			t.walk(c, append(path, e), f)
-		}
+	for e := n.kids.First(); e >= 0; e = n.kids.NextAfter(e) {
+		t.walk(n.children[e], append(path, e), f)
 	}
 }
