@@ -210,10 +210,21 @@ func BenchmarkFigure2(b *testing.B) {
 
 func BenchmarkFigure3TPCH(b *testing.B) {
 	ds := mustDS(b)(datagen.TPCH(0.0002, 1))
+	rec := &observe.Recorder{}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NormalizeRelation(ds.Denormalized, core.Options{MaxLhs: 3}); err != nil {
+		if _, err := core.NormalizeRelation(ds.Denormalized, core.Options{MaxLhs: 3, Observer: rec}); err != nil {
 			b.Fatal(err)
 		}
+	}
+	reportStageMetrics(b, rec)
+}
+
+// reportStageMetrics publishes every pipeline stage's summed wall time
+// per op as a "<stage>-ns/op" metric, so the JSON baseline shows which
+// stage of Figure 1 a change moved, not just the total.
+func reportStageMetrics(b *testing.B, rec *observe.Recorder) {
+	for _, st := range rec.Totals() {
+		b.ReportMetric(float64(st.Elapsed.Nanoseconds())/float64(b.N), string(st.Stage)+"-ns/op")
 	}
 }
 
@@ -245,11 +256,13 @@ func BenchmarkFigure3TPCHConstrained(b *testing.B) {
 
 func BenchmarkFigure4MusicBrainz(b *testing.B) {
 	ds := mustDS(b)(datagen.MusicBrainz(12, 1))
+	rec := &observe.Recorder{}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NormalizeRelation(ds.Denormalized, core.Options{MaxLhs: 3}); err != nil {
+		if _, err := core.NormalizeRelation(ds.Denormalized, core.Options{MaxLhs: 3, Observer: rec}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	reportStageMetrics(b, rec)
 }
 
 // --- Ablations (DESIGN.md §6) ----------------------------------------
@@ -591,19 +604,22 @@ func BenchmarkDeltaAppend(b *testing.B) {
 
 	b.Run("full", func(b *testing.B) {
 		obs := &counterObserver{name: observe.CounterCandidatesChecked}
+		rec := &observe.Recorder{}
 		o := opts
-		o.Observer = obs
+		o.Observer = observe.Multi{obs, rec}
 		for i := 0; i < b.N; i++ {
 			if _, err := core.NormalizeRelation(full, o); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(obs.total)/float64(b.N), "candidates/op")
+		reportStageMetrics(b, rec)
 	})
 	b.Run("delta", func(b *testing.B) {
 		obs := &counterObserver{name: observe.CounterDeltaFDsChecked}
+		rec := &observe.Recorder{}
 		o := opts
-		o.Observer = obs
+		o.Observer = observe.Multi{obs, rec}
 		cfg := delta.Config{Options: o}
 		for i := 0; i < b.N; i++ {
 			if _, _, err := delta.Normalize(context.Background(), base, rows[cut:], parent, cfg); err != nil {
@@ -611,5 +627,6 @@ func BenchmarkDeltaAppend(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(obs.total)/float64(b.N), "candidates/op")
+		reportStageMetrics(b, rec)
 	})
 }

@@ -41,6 +41,30 @@ func Of(n int, elems ...int) *Set {
 	return s
 }
 
+// FromWords returns a set over [0, n) holding a copy of words, the
+// little-endian word layout Set uses itself (element e is bit e%64 of
+// word e/64). Bits at or above n are dropped. Loops that compute sets
+// into a reused word buffer call it only for the sets they keep.
+func FromWords(n int, words []uint64) *Set {
+	s := New(n)
+	copy(s.words, words)
+	s.trim()
+	return s
+}
+
+// Carve makes each of sets an empty set over [0, n), all backed by one
+// shared word allocation. Structures that keep several small sets per
+// node (fd.Tree) use it to pay one allocation per node instead of one
+// per set. The carved sets are independent: no operation on one can
+// reach another's words.
+func Carve(n int, sets ...*Set) {
+	w := (n + wordBits - 1) / wordBits
+	words := make([]uint64, w*len(sets))
+	for i, s := range sets {
+		s.words, s.n = words[i*w:(i+1)*w:(i+1)*w], n
+	}
+}
+
 // Full returns the set containing every element of [0, n).
 func Full(n int) *Set {
 	s := New(n)

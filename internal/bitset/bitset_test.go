@@ -294,3 +294,35 @@ func TestQuickElementsRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFromWords: a set built from words holds exactly the set bits
+// below n, in bitset layout, and owns its copy.
+func TestFromWords(t *testing.T) {
+	words := []uint64{1<<0 | 1<<63, 1<<1 | 1<<10}
+	s := FromWords(70, words)
+	if want := Of(70, 0, 63, 65); !s.Equal(want) {
+		t.Fatalf("FromWords = %v, want %v (bit 74 lies beyond n)", s, want)
+	}
+	words[0] = 0
+	if !s.Contains(0) {
+		t.Fatal("FromWords aliases its argument")
+	}
+}
+
+// TestCarve: carved sets share one allocation but never each other's
+// bits, at and across word boundaries.
+func TestCarve(t *testing.T) {
+	for _, n := range []int{1, 64, 65, 130} {
+		var a, b, c Set
+		Carve(n, &a, &b, &c)
+		a.CopyFrom(Full(n))
+		c.Add(n - 1)
+		if !b.IsEmpty() || a.Cardinality() != n || c.Cardinality() != 1 {
+			t.Fatalf("n=%d: carved sets overlap: a=%v b=%v c=%v", n, &a, &b, &c)
+		}
+		b.UnionWith(&a)
+		if !b.Equal(&a) || c.Cardinality() != 1 {
+			t.Fatalf("n=%d: union reached a neighbour: b=%v c=%v", n, &b, &c)
+		}
+	}
+}

@@ -76,14 +76,26 @@ func (d FuncDecider) ChoosePrimaryKey(t *Table, ranked []RankedKey) int {
 }
 
 // sortRankedFDs orders candidates by descending score with a
-// deterministic tie-break.
+// deterministic tie-break on the FD's rendering, computed once per
+// candidate rather than once per comparison.
 func sortRankedFDs(ranked []RankedFD) {
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].Score != ranked[j].Score {
-			return ranked[i].Score > ranked[j].Score
+	type keyed struct {
+		RankedFD
+		key string
+	}
+	ks := make([]keyed, len(ranked))
+	for i, r := range ranked {
+		ks[i] = keyed{r, r.FD.String()}
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		if ks[i].Score != ks[j].Score {
+			return ks[i].Score > ks[j].Score
 		}
-		return ranked[i].FD.String() < ranked[j].FD.String()
+		return ks[i].key < ks[j].key
 	})
+	for i := range ks {
+		ranked[i] = ks[i].RankedFD
+	}
 }
 
 // sortRankedKeys orders candidates by descending score with a

@@ -9,9 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"normalize/internal/bitset"
 	"normalize/internal/faultinject"
+	"normalize/internal/fd"
 	"normalize/internal/guard"
 	"normalize/internal/observe"
+	"normalize/internal/plicache"
 )
 
 // goroutineCheck snapshots the goroutine count and returns a func that
@@ -282,5 +285,30 @@ func TestExhaustivePanicSeamSweep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankViolatingFDsWorkerPanic: a panic on a selection-scoring
+// worker comes back from rankViolatingFDs as a *guard.PanicError, which
+// the selection stage attributes, instead of crashing the process.
+func TestRankViolatingFDsWorkerPanic(t *testing.T) {
+	defer goroutineCheck(t)()
+	p := &run{opts: Options{Workers: 2}, cache: plicache.NewCache()}
+	rel := address()
+	n := rel.NumAttrs()
+	tbl := p.buildRoot(rel, fd.NewSet(n))
+	viol := []*fd.FD{
+		{Lhs: bitset.Of(n, 2), Rhs: bitset.Of(n, 3, 4)},
+		{Lhs: bitset.Of(n, 3), Rhs: bitset.Of(n, 4)},
+	}
+	// p.scores stays nil, so the first fact lookup on a worker panics.
+	_, err := p.rankViolatingFDs(context.Background(), tbl, viol)
+	if p.pool == nil {
+		t.Fatal("Workers: 2 scored without a pool")
+	}
+	p.pool.Close()
+	var ge *guard.PanicError
+	if !errors.As(err, &ge) {
+		t.Fatalf("err = %v, want a *guard.PanicError", err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"normalize/internal/bitset"
@@ -18,6 +19,7 @@ import (
 	"normalize/internal/relation"
 	"normalize/internal/scoring"
 	"normalize/internal/violation"
+	"normalize/internal/wsteal"
 )
 
 // ClosureAlgorithm selects the closure variant (Section 4); the
@@ -193,6 +195,11 @@ func NormalizeRelationContext(ctx context.Context, rel *relation.Relation, opts 
 	}
 	p.res.Stats.Attrs = rel.NumAttrs()
 	p.res.Stats.Records = rel.NumRows()
+	defer func() {
+		if p.pool != nil {
+			p.pool.Close()
+		}
+	}()
 
 	// A memory ceiling attaches the compressed, budget-governed PLI
 	// store to the run's substrate cache: retained partitions rest
@@ -241,6 +248,9 @@ type run struct {
 	// scores memoizes the exact per-attribute-set facts behind candidate
 	// scoring, bound to the root instance after buildRoot.
 	scores *scoreIndex
+	// pool scores violating FDs in parallel; nil until the first
+	// selection of a run with more than one worker (see scorePool).
+	pool *wsteal.Pool
 
 	// firstStageErr remembers the first tolerated stage crash so a run
 	// that continued past per-table panics still reports them.
@@ -378,7 +388,10 @@ func (p *run) normalize(ctx context.Context, rel *relation.Relation) (*Result, e
 		serr := runStage(observe.Selection, func() error {
 			obs.StageStart(observe.Selection)
 			start = time.Now()
-			ranked := p.rankViolatingFDs(t, viol)
+			ranked, err := p.rankViolatingFDs(ctx, t, viol)
+			if err != nil {
+				return err // span stays open: interrupted
+			}
 			obs.Counter(observe.Selection, observe.CounterCandidatesScored, int64(len(ranked)))
 			choice, pruneRhs := p.decider.ChooseViolatingFD(t, ranked)
 			obs.StageFinish(observe.Selection, time.Since(start))
@@ -836,19 +849,56 @@ func foreignKeySets(t *Table) []*bitset.Set {
 // split the running partition) instead of one row scan per candidate,
 // and exactness is what lets a delta run (internal/delta) reproduce
 // the scores without touching the base rows.
-func (p *run) rankViolatingFDs(t *Table, viol []*fd.FD) []RankedFD {
+//
+// With more than one worker the candidates are scored on the run's
+// pool. Every score is an exact function of its FD, written to its own
+// index, and the sort afterwards is total, so the ranking is identical
+// at every worker count. A worker panic surfaces as the returned
+// *guard.PanicError.
+func (p *run) rankViolatingFDs(ctx context.Context, t *Table, viol []*fd.FD) ([]RankedFD, error) {
 	rows, numAttrs := t.Data.NumRows(), t.Data.NumAttrs()
 	shared := sharedRhs(viol)
 	ranked := make([]RankedFD, len(viol))
-	for i, v := range viol {
+	score := func(i int) {
+		v := viol[i]
 		ranked[i] = RankedFD{
 			FD:        v,
 			Score:     scoring.FDScoreFromFacts(t.localFD(v), p.scores.facts(v.Lhs, v.Rhs, rows, numAttrs)),
 			SharedRhs: shared[i],
 		}
 	}
+	if pool := p.scorePool(); pool != nil && len(viol) > 1 {
+		err := pool.Run(ctx, "violating-fd scoring", len(viol), func(i, _ int) error {
+			score(i)
+			return nil
+		}, nil)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		for i := range viol {
+			score(i)
+		}
+	}
 	sortRankedFDs(ranked)
-	return ranked
+	return ranked, nil
+}
+
+// scorePool returns the run's selection-scoring pool, started on first
+// use with the resolved worker count (Options.Workers, or GOMAXPROCS
+// when 0); nil for a serial run. NormalizeRelationContext closes it.
+func (p *run) scorePool() *wsteal.Pool {
+	if p.pool == nil {
+		workers := p.opts.Workers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if workers <= 1 {
+			return nil
+		}
+		p.pool = wsteal.New(workers)
+	}
+	return p.pool
 }
 
 // sharedRhs returns, per FD, the RHS attributes that at least one other

@@ -3,11 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
+	"normalize/internal/bitset"
+	"normalize/internal/datagen"
+	"normalize/internal/fd"
 	"normalize/internal/observe"
 	"normalize/internal/relation"
 )
@@ -107,4 +112,70 @@ func TestExplicitWorkersHonoured(t *testing.T) {
 		return
 	}
 	t.Fatal("no discovery telemetry recorded")
+}
+
+// rankingTrace renders every ranked candidate list a run hands its
+// decider — FD, exact score bits and shared RHS, in rank order.
+func rankingTrace(t *testing.T, rel *relation.Relation, workers int) string {
+	t.Helper()
+	var b strings.Builder
+	dec := FuncDecider{ViolatingFD: func(_ *Table, ranked []RankedFD) (int, *bitset.Set) {
+		for _, r := range ranked {
+			fmt.Fprintf(&b, "%v %x %v\n", r.FD, math.Float64bits(r.Score), r.SharedRhs)
+		}
+		b.WriteString("--\n")
+		return 0, nil
+	}}
+	if _, err := NormalizeRelation(relation.MustNew(rel.Name, rel.Attrs, cloneRows(rel.Rows())),
+		Options{MaxLhs: 3, Workers: workers, Decider: dec}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestRankViolatingFDsWorkers: parallel selection scoring must hand the
+// decider identical RankedFD slices — same scores, same order, same
+// shared RHS — at every worker count, on Figure 3's TPC-H relation.
+func TestRankViolatingFDsWorkers(t *testing.T) {
+	ds, err := datagen.TPCH(0.0002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rankingTrace(t, ds.Denormalized, 1)
+	if strings.Count(base, "--\n") < 2 {
+		t.Fatalf("TPC-H run ranked too few selections:\n%s", base)
+	}
+	for _, w := range []int{2, 4} {
+		if got := rankingTrace(t, ds.Denormalized, w); got != base {
+			t.Fatalf("workers=%d ranking differs from workers=1:\n%s\nvs\n%s", w, got, base)
+		}
+	}
+}
+
+// TestSortRankedFDsOrder pins sortRankedFDs to the comparator that
+// renders both FDs on every tie, on candidate lists full of ties.
+func TestSortRankedFDsOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		ranked := make([]RankedFD, 1+r.Intn(40))
+		for i := range ranked {
+			f := &fd.FD{Lhs: bitset.New(12), Rhs: bitset.New(12)}
+			f.Lhs.Add(r.Intn(12))
+			f.Rhs.Add(r.Intn(12))
+			ranked[i] = RankedFD{FD: f, Score: float64(r.Intn(3)) / 2}
+		}
+		want := append([]RankedFD(nil), ranked...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
+			}
+			return want[i].FD.String() < want[j].FD.String()
+		})
+		sortRankedFDs(ranked)
+		for i := range ranked {
+			if ranked[i].FD != want[i].FD {
+				t.Fatalf("trial %d: position %d holds %v, reference order has %v", trial, i, ranked[i].FD, want[i].FD)
+			}
+		}
+	}
 }

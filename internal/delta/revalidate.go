@@ -420,12 +420,10 @@ func (d *revalidator) induct(agree *bitset.Set) {
 				return true
 			}
 			ext := v.Lhs.Clone().Add(b)
-			v.Rhs.ForEach(func(a int) bool {
-				if a != b && !d.tree.ContainsGeneralization(ext, a) {
-					d.tree.Add(ext, a)
-				}
-				return true
-			})
+			add := v.Rhs.Clone().Remove(b)
+			if d.tree.Uncovered(ext, add); !add.IsEmpty() {
+				d.tree.AddSet(ext, add)
+			}
 			return true
 		})
 	}

@@ -44,7 +44,6 @@ import (
 	"normalize/internal/plicache"
 	"normalize/internal/plistore"
 	"normalize/internal/relation"
-	"normalize/internal/settrie"
 	"normalize/internal/wsteal"
 )
 
@@ -158,6 +157,8 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 		ix:      pli.NewArenaIntersector(),
 		full:    bitset.Full(n),
 		outside: bitset.New(n),
+		ext:     bitset.New(n),
+		add:     bitset.New(n),
 	}
 	defer d.flushCounters(observe.Or(opts.Observer))
 	// One persistent work-stealing pool serves the whole run: PLI
@@ -207,18 +208,13 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, opts Options) 
 // finishing pass to reproduce HyFD's canonical minimal cover.
 func Minimize(s *fd.Set) *fd.Set {
 	s.Sort() // ascending LHS size: generalizations come first
-	tries := make([]settrie.Trie, s.NumAttrs)
+	kept := fd.NewTree(s.NumAttrs)
 	out := fd.NewSet(s.NumAttrs)
 	for _, f := range s.FDs {
-		rhs := bitset.New(s.NumAttrs)
-		f.Rhs.ForEach(func(a int) bool {
-			if !tries[a].ContainsSubsetOf(f.Lhs) {
-				tries[a].Insert(f.Lhs)
-				rhs.Add(a)
-			}
-			return true
-		})
+		rhs := f.Rhs.Clone()
+		kept.Uncovered(f.Lhs, rhs)
 		if !rhs.IsEmpty() {
+			kept.AddSet(f.Lhs, rhs)
 			out.FDs = append(out.FDs, &fd.FD{Lhs: f.Lhs, Rhs: rhs})
 		}
 	}
@@ -241,6 +237,8 @@ type discoverer struct {
 	wixs    []*pli.Intersector // per-worker-slot arena intersectors
 	full    *bitset.Set        // constant {0..n-1}, source for outside
 	outside *bitset.Set        // induct's reusable ¬agree scratch
+	ext     *bitset.Set        // induct's reusable specialization scratch
+	add     *bitset.Set        // induct's reusable uncovered-RHS scratch
 
 	// Work counters, flushed to the observer when discovery returns.
 	// The atomics are shared with the parallel validation workers; the
@@ -377,22 +375,24 @@ func (d *discoverer) induct(agree *bitset.Set) error {
 			if v.Lhs.Contains(b) {
 				return true
 			}
-			ext := v.Lhs.Clone().Add(b)
-			v.Rhs.ForEach(func(a int) bool {
-				if a == b {
-					return true
+			// ext → a goes in for every a ∈ Rhs \ {b} without a stored
+			// generalization. Adding ext → a cannot create one for
+			// another attribute, so one Uncovered walk decides them
+			// all up front. Neither the walk nor Add keeps ext or add,
+			// so one pair of scratch sets serves every specialization.
+			ext := d.ext.CopyFrom(v.Lhs).Add(b)
+			add := d.add.CopyFrom(v.Rhs).Remove(b)
+			d.tree.Uncovered(ext, add)
+			add.ForEach(func(a int) bool {
+				d.tree.Add(ext, a)
+				d.fdsInduced++
+				if err := d.tr.AddFDs(1); err != nil {
+					tripped = err
+					return false
 				}
-				if !d.tree.ContainsGeneralization(ext, a) {
-					d.tree.Add(ext, a)
-					d.fdsInduced++
-					if err := d.tr.AddFDs(1); err != nil {
-						tripped = err
-						return false
-					}
-					if err := d.tr.Grow(fdBytes); err != nil {
-						tripped = err
-						return false
-					}
+				if err := d.tr.Grow(fdBytes); err != nil {
+					tripped = err
+					return false
 				}
 				return true
 			})

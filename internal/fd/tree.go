@@ -15,12 +15,18 @@ type Tree struct {
 }
 
 type treeNode struct {
-	rhs      *bitset.Set // FDs ending at this node
-	children []*treeNode // dense, indexed by attribute
+	rhs bitset.Set // FDs ending at this node
 	// kids marks the attributes with a non-nil child, so generalization
 	// walks visit lhs ∧ kids instead of probing children per lhs bit.
 	// Nodes are never pruned, so a bit once set stays set.
-	kids *bitset.Set
+	kids bitset.Set
+	// sub is the union of rhs over this node and all its descendants
+	// (HyFD's rhsAttributes): a walk looking for an RHS attribute, or
+	// for an RHS outside an agree set, skips every subtree whose sub
+	// rules it out. Every mutation keeps sub exact.
+	sub bitset.Set
+	// children is indexed by attribute; nil until the first child.
+	children []*treeNode
 }
 
 // NewTree returns an empty FD tree over numAttrs attributes.
@@ -29,72 +35,110 @@ func NewTree(numAttrs int) *Tree {
 }
 
 func newTreeNode(numAttrs int) *treeNode {
-	return &treeNode{
-		rhs:      bitset.New(numAttrs),
-		children: make([]*treeNode, numAttrs),
-		kids:     bitset.New(numAttrs),
-	}
+	n := &treeNode{}
+	bitset.Carve(numAttrs, &n.rhs, &n.kids, &n.sub)
+	return n
 }
 
 // NumAttrs returns the universe size.
 func (t *Tree) NumAttrs() int { return t.numAttrs }
 
-// node returns the node reached by the ascending path lhs, creating
-// missing nodes on the way.
-func (t *Tree) node(lhs *bitset.Set) *treeNode {
-	n := t.root
-	for e := lhs.First(); e >= 0; e = lhs.NextAfter(e) {
-		if n.children[e] == nil {
-			n.children[e] = newTreeNode(t.numAttrs)
-			n.kids.Add(e)
-		}
-		n = n.children[e]
+// child returns n's child along attribute e, creating it when missing.
+func (t *Tree) child(n *treeNode, e int) *treeNode {
+	if n.children == nil {
+		n.children = make([]*treeNode, t.numAttrs)
 	}
-	return n
+	c := n.children[e]
+	if c == nil {
+		c = newTreeNode(t.numAttrs)
+		n.children[e] = c
+		n.kids.Add(e)
+	}
+	return c
 }
 
-// find returns the node reached by the ascending path lhs, or nil when
-// the path does not exist.
-func (t *Tree) find(lhs *bitset.Set) *treeNode {
+// path appends the nodes of the ascending path lhs, root first, to buf
+// and returns it, or nil when the path does not exist.
+func (t *Tree) path(lhs *bitset.Set, buf []*treeNode) []*treeNode {
 	n := t.root
-	for e := lhs.First(); e >= 0 && n != nil; e = lhs.NextAfter(e) {
+	buf = append(buf, n)
+	for e := lhs.First(); e >= 0; e = lhs.NextAfter(e) {
+		if !n.kids.Contains(e) {
+			return nil
+		}
 		n = n.children[e]
+		buf = append(buf, n)
 	}
-	return n
+	return buf
 }
 
 // Add stores the FD lhs → rhsAttr, without minimality checks.
 func (t *Tree) Add(lhs *bitset.Set, rhsAttr int) {
-	t.node(lhs).rhs.Add(rhsAttr)
+	n := t.root
+	n.sub.Add(rhsAttr)
+	for e := lhs.First(); e >= 0; e = lhs.NextAfter(e) {
+		n = t.child(n, e)
+		n.sub.Add(rhsAttr)
+	}
+	n.rhs.Add(rhsAttr)
 }
 
 // AddSet stores lhs → a for every a in rhs.
 func (t *Tree) AddSet(lhs, rhs *bitset.Set) {
-	t.node(lhs).rhs.UnionWith(rhs)
+	n := t.root
+	n.sub.UnionWith(rhs)
+	for e := lhs.First(); e >= 0; e = lhs.NextAfter(e) {
+		n = t.child(n, e)
+		n.sub.UnionWith(rhs)
+	}
+	n.rhs.UnionWith(rhs)
 }
 
 // Contains reports whether exactly lhs → rhsAttr is stored.
 func (t *Tree) Contains(lhs *bitset.Set, rhsAttr int) bool {
-	n := t.find(lhs)
-	return n != nil && n.rhs.Contains(rhsAttr)
+	var buf [16]*treeNode
+	path := t.path(lhs, buf[:0])
+	return path != nil && path[len(path)-1].rhs.Contains(rhsAttr)
 }
 
 // ContainsGeneralization reports whether some stored FD X → rhsAttr has
 // X ⊆ lhs (including X = lhs).
 func (t *Tree) ContainsGeneralization(lhs *bitset.Set, rhsAttr int) bool {
-	return containsGen(t.root, lhs, -1, rhsAttr)
+	return t.root.sub.Contains(rhsAttr) && containsGen(t.root, lhs, -1, rhsAttr)
 }
 
+// containsGen searches below n, whose summary carries rhsAttr; a child
+// whose summary lacks it is not entered.
 func containsGen(n *treeNode, lhs *bitset.Set, after, rhsAttr int) bool {
 	if n.rhs.Contains(rhsAttr) {
 		return true
 	}
 	for e := n.kids.NextAfterIn(lhs, after); e >= 0; e = n.kids.NextAfterIn(lhs, e) {
-		if containsGen(n.children[e], lhs, e, rhsAttr) {
+		if c := n.children[e]; c.sub.Contains(rhsAttr) && containsGen(c, lhs, e, rhsAttr) {
 			return true
 		}
 	}
 	return false
+}
+
+// Uncovered removes from want every attribute a for which some stored
+// FD X → a has X ⊆ lhs, leaving the attributes a for which lhs → a has
+// no generalization. It answers ContainsGeneralization for all of want
+// in one walk, which enters only the subtrees whose summary still meets
+// want.
+func (t *Tree) Uncovered(lhs, want *bitset.Set) {
+	if t.root.sub.Intersects(want) {
+		uncovered(t.root, lhs, -1, want)
+	}
+}
+
+func uncovered(n *treeNode, lhs *bitset.Set, after int, want *bitset.Set) {
+	want.DifferenceWith(&n.rhs)
+	for e := n.kids.NextAfterIn(lhs, after); e >= 0; e = n.kids.NextAfterIn(lhs, e) {
+		if c := n.children[e]; c.sub.Intersects(want) {
+			uncovered(c, lhs, e, want)
+		}
+	}
 }
 
 // CollectGeneralizations returns the Lhs of every stored FD X → rhsAttr
@@ -106,6 +150,9 @@ func (t *Tree) CollectGeneralizations(lhs *bitset.Set, rhsAttr int) []*bitset.Se
 }
 
 func collectGen(n *treeNode, lhs *bitset.Set, after, rhsAttr int, prefix []int, out *[]*bitset.Set, numAttrs int) {
+	if !n.sub.Contains(rhsAttr) {
+		return
+	}
 	if n.rhs.Contains(rhsAttr) {
 		*out = append(*out, bitset.Of(numAttrs, prefix...))
 	}
@@ -118,36 +165,72 @@ func collectGen(n *treeNode, lhs *bitset.Set, after, rhsAttr int, prefix []int, 
 // agree set refutes: all (lhs, badRhs) with lhs ⊆ agree and
 // badRhs = rhs \ agree non-empty. One tree walk serves all RHS
 // attributes at once, which is what makes HyFD-style induction cheap:
-// it descends only into children on agree ∧ kids, and allocates
-// nothing at a node whose rhs ⊆ agree.
+// it descends only into children on agree ∧ kids, stops at every
+// subtree whose RHS summary lies inside agree (no FD below it can be
+// refuted), and allocates nothing at a node whose rhs ⊆ agree.
 func (t *Tree) ViolatedBy(agree *bitset.Set) []FD {
 	var out []FD
-	t.violatedBy(t.root, agree, -1, make([]int, 0, 16), &out)
+	if !t.root.sub.IsSubsetOf(agree) {
+		t.violatedBy(t.root, agree, -1, make([]int, 0, 16), &out)
+	}
 	return out
 }
 
+// violatedBy walks below n, whose summary reaches outside agree; a
+// child whose summary lies inside agree is not entered.
 func (t *Tree) violatedBy(n *treeNode, agree *bitset.Set, after int, prefix []int, out *[]FD) {
 	if !n.rhs.IsSubsetOf(agree) {
 		*out = append(*out, FD{Lhs: bitset.Of(t.numAttrs, prefix...), Rhs: n.rhs.Difference(agree)})
 	}
 	for e := n.kids.NextAfterIn(agree, after); e >= 0; e = n.kids.NextAfterIn(agree, e) {
-		t.violatedBy(n.children[e], agree, e, append(prefix, e), out)
+		if c := n.children[e]; !c.sub.IsSubsetOf(agree) {
+			t.violatedBy(c, agree, e, append(prefix, e), out)
+		}
 	}
 }
 
 // RemoveRhs deletes lhs → a for every a in rhs with a single path walk.
 func (t *Tree) RemoveRhs(lhs *bitset.Set, rhs *bitset.Set) {
-	if n := t.find(lhs); n != nil {
-		n.rhs.DifferenceWith(rhs)
+	var buf [16]*treeNode
+	if path := t.path(lhs, buf[:0]); path != nil {
+		path[len(path)-1].rhs.DifferenceWith(rhs)
+		resumPath(path)
 	}
 }
 
 // Remove deletes the FD lhs → rhsAttr if stored. Empty nodes are not
 // physically pruned; the tree stays correct regardless.
 func (t *Tree) Remove(lhs *bitset.Set, rhsAttr int) {
-	if n := t.find(lhs); n != nil {
-		n.rhs.Remove(rhsAttr)
+	var buf [16]*treeNode
+	if path := t.path(lhs, buf[:0]); path != nil {
+		path[len(path)-1].rhs.Remove(rhsAttr)
+		resumPath(path)
 	}
+}
+
+// resumPath restores the summaries along path (root first) after an RHS
+// removal at its last node, bottom-up as rhs ∪ ⋃ child.sub. A node
+// whose summary comes out unchanged leaves its ancestors' unchanged
+// too, so the walk stops there.
+func resumPath(path []*treeNode) {
+	for i := len(path) - 1; i >= 0; i-- {
+		n := path[i]
+		if !n.resum() {
+			return
+		}
+	}
+}
+
+// resum recomputes n.sub from n.rhs and the children's summaries and
+// reports whether it changed. Summaries only ever shrink here, so
+// comparing cardinalities detects a change.
+func (n *treeNode) resum() bool {
+	before := n.sub.Cardinality()
+	n.sub.CopyFrom(&n.rhs)
+	for e := n.kids.First(); e >= 0; e = n.kids.NextAfter(e) {
+		n.sub.UnionWith(&n.children[e].sub)
+	}
+	return n.sub.Cardinality() != before
 }
 
 // AddMinimal inserts lhs → rhsAttr only if no generalization is stored,
@@ -167,16 +250,22 @@ func (t *Tree) AddMinimal(lhs *bitset.Set, rhsAttr int) bool {
 // attribute path is a superset of lhs. nextLhs is the smallest lhs
 // attribute not yet seen on the path (-1 when all are matched). Callers
 // guarantee lhs → rhsAttr itself is absent (no generalization exists),
-// so only proper specializations are removed.
+// so only proper specializations are removed. Subtrees whose summary
+// lacks rhsAttr hold nothing to remove; on the way back up every
+// visited node drops rhsAttr from its summary once neither its rhs nor
+// any child's summary carries it.
 func (t *Tree) removeSpecializations(n *treeNode, after int, lhs *bitset.Set, nextLhs, rhsAttr int) {
-	if nextLhs < 0 && n.rhs.Contains(rhsAttr) {
+	if !n.sub.Contains(rhsAttr) {
+		return
+	}
+	if nextLhs < 0 {
 		n.rhs.Remove(rhsAttr)
 	}
 	for e := n.kids.NextAfter(after); e >= 0; e = n.kids.NextAfter(e) {
 		// Paths ascend, so once e passes the next required lhs
 		// attribute, no deeper path can contain lhs anymore.
 		if nextLhs >= 0 && e > nextLhs {
-			return
+			break
 		}
 		nl := nextLhs
 		if e == nextLhs {
@@ -184,6 +273,15 @@ func (t *Tree) removeSpecializations(n *treeNode, after int, lhs *bitset.Set, ne
 		}
 		t.removeSpecializations(n.children[e], e, lhs, nl, rhsAttr)
 	}
+	if n.rhs.Contains(rhsAttr) {
+		return
+	}
+	for e := n.kids.First(); e >= 0; e = n.kids.NextAfter(e) {
+		if n.children[e].sub.Contains(rhsAttr) {
+			return
+		}
+	}
+	n.sub.Remove(rhsAttr)
 }
 
 // ToSet extracts all stored FDs as an aggregated Set.
@@ -228,8 +326,11 @@ func (t *Tree) MaxLevel() int {
 }
 
 func (t *Tree) walk(n *treeNode, path []int, f func(path []int, rhs *bitset.Set)) {
+	if n.sub.IsEmpty() {
+		return
+	}
 	if !n.rhs.IsEmpty() {
-		f(path, n.rhs)
+		f(path, &n.rhs)
 	}
 	for e := n.kids.First(); e >= 0; e = n.kids.NextAfter(e) {
 		t.walk(n.children[e], append(path, e), f)

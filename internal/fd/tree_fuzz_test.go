@@ -99,6 +99,26 @@ func checkViolatedBy(t *testing.T, tr *Tree, agree *bitset.Set) {
 	}
 }
 
+// checkSummaries verifies every node's subtree-RHS summary: sub must
+// equal the union of rhs over the node and its descendants. Supersets
+// would still be sound for the walks, but every mutation keeps the
+// summary exact, so anything else is a maintenance bug.
+func checkSummaries(t *testing.T, tr *Tree) {
+	t.Helper()
+	var union func(n *treeNode, path []int) *bitset.Set
+	union = func(n *treeNode, path []int) *bitset.Set {
+		u := n.rhs.Clone()
+		for e := n.kids.First(); e >= 0; e = n.kids.NextAfter(e) {
+			u.UnionWith(union(n.children[e], append(path, e)))
+		}
+		if !n.sub.Equal(u) {
+			t.Fatalf("node %v: sub = %v, subtree rhs union = %v", path, &n.sub, u)
+		}
+		return u
+	}
+	union(tr.root, nil)
+}
+
 func checkModel(t *testing.T, tr *Tree, m *treeModel) {
 	t.Helper()
 	stored := make(map[string]bool)
@@ -121,7 +141,9 @@ func checkModel(t *testing.T, tr *Tree, m *treeModel) {
 // 63/64 and 127/128 are reachable) and checks every generalization walk
 // against brute force: ViolatedBy against a scan of ToSet, ToSet
 // against a reference model, and ContainsGeneralization and
-// CollectGeneralizations against the model.
+// CollectGeneralizations against the model, and Uncovered against
+// ContainsGeneralization. After every operation each
+// node's subtree-RHS summary must equal the union of the RHS below it.
 func FuzzViolatedBy(f *testing.F) {
 	f.Add(uint8(4), []byte{0, 0, 1, 5, 6, 1, 2, 8, 2, 5, 3})
 	f.Add(uint8(63), []byte{1, 2, 63, 62, 1, 0, 5, 1, 0, 2, 4, 63, 0, 5, 3, 63})
@@ -175,7 +197,20 @@ func FuzzViolatedBy(f *testing.F) {
 				if got := len(tr.CollectGeneralizations(lhs, a)); got != gens {
 					t.Fatalf("CollectGeneralizations(%v, %d) found %d, model has %d", lhs, a, got, gens)
 				}
+				want := r.set()
+				got := want.Clone()
+				tr.Uncovered(lhs, got)
+				want.ForEach(func(b int) bool {
+					if got.Contains(b) == tr.ContainsGeneralization(lhs, b) {
+						t.Fatalf("Uncovered(%v, %v) = %v disagrees with ContainsGeneralization on %d", lhs, want, got, b)
+					}
+					return true
+				})
+				if !got.IsSubsetOf(want) {
+					t.Fatalf("Uncovered(%v, %v) = %v adds attributes", lhs, want, got)
+				}
 			}
+			checkSummaries(t, tr)
 		}
 		checkModel(t, tr, m)
 		checkViolatedBy(t, tr, bitset.New(n))

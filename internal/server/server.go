@@ -534,11 +534,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	// Only a cache hit answers 200. A fresh job may already have run to
+	// completion on a worker by now, so its state cannot tell the two
+	// apart; the cached flag is fixed when Submit returns.
+	st := statusOf(job)
 	code := http.StatusAccepted
-	if job.State().Terminal() { // cache hit
+	if st.Cached {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, statusOf(job))
+	writeJSON(w, code, st)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
